@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one table/figure of the paper (or one ablation
-from DESIGN.md).  Besides timing the underlying computation with
+Every benchmark regenerates one table/figure of the paper (or one of the
+ablations in ``repro.experiments``).  Besides timing the underlying computation with
 pytest-benchmark, each benchmark *prints* the reproduced rows/series and
 saves them through :class:`repro.util.artifacts.BenchmarkReport`, which
 atomically rewrites ``benchmarks/results/<name>.txt`` (tmp file + rename,

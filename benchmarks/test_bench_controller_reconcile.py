@@ -8,10 +8,13 @@ requirement set of which exactly one entry changes per reaction) through the
 clear-and-replay oracle (``incremental=False``) and through the plan-cache
 reconciler, asserting the ≥ 2x hot-path speedup that closes the end-to-end
 incremental pipeline — and, first, that both land on bit-identical lies.
+
+A second case replays the partition churn (a quarter of the requirement set
+changing per wave) and checks that the single controller's per-wave cost
+scales with the *dirty* requirements, not with the whole set.
 """
 
 import os
-import time
 
 import pytest
 
@@ -19,7 +22,8 @@ from repro.core.controller import FibbingController
 from repro.core.lies import lie_set_digest
 from repro.experiments.scaling import (
     build_ring_topology,
-    churn_requirement,
+    partition_churn_waves,
+    replay_partition_churn,
     replay_requirement_churn,
     run_reconcile_scaling,
 )
@@ -140,3 +144,76 @@ def test_reconcile_scaling_rows(benchmark, report):
     # not collapse) as the unchanged fraction of the set grows.
     if not QUICK:
         assert rows[-1].speedup >= rows[0].speedup * 0.8
+
+
+PARTITION_GROUPS = 4  # a quarter of the set is dirty per churn wave
+PARTITION_ROUNDS = 3
+
+
+def replay_partition(groups):
+    """Best-of-N steady-state churn time and the counters of one replay."""
+    topology = build_ring_topology(RING, COUNT)
+    best = float("inf")
+    for _ in range(PARTITION_ROUNDS):
+        controller = FibbingController(topology)
+        seconds = replay_partition_churn(controller, topology, COUNT, WAVES, groups)
+        best = min(best, seconds)
+    return best, controller.reconciler.counters.snapshot()
+
+
+def check_partition_against_oracle(groups):
+    """Untimed: the lies match the oracle after every wave; returns the
+    number of waves that ended with a non-empty lie set."""
+    topology = build_ring_topology(RING, COUNT)
+    incremental = FibbingController(topology)
+    oracle = FibbingController(topology, incremental=False)
+    populated = 0
+    for wave, requirements in enumerate(
+        partition_churn_waves(topology, COUNT, WAVES, groups)
+    ):
+        incremental.enforce(requirements)
+        oracle.enforce(requirements)
+        digest = lie_set_digest(incremental.active_lies())
+        assert digest == lie_set_digest(oracle.active_lies()), f"wave {wave}"
+        populated += bool(incremental.active_lies())
+    return populated
+
+
+def test_partition_churn_scales_with_dirty_requirements(benchmark, report):
+    quarter_time, quarter = benchmark.pedantic(
+        replay_partition, args=(PARTITION_GROUPS,), rounds=1, iterations=1
+    )
+    all_time, everything = replay_partition(1)
+    ratio = quarter_time / all_time
+
+    report.add_line(
+        f"Controller partition churn ({COUNT} requirements on a {RING}-router "
+        f"ring, {WAVES} waves, best of {PARTITION_ROUNDS} replays)"
+    )
+    report.add_table(
+        ["dirty per wave", "per-wave time [ms]", "plans recomputed"],
+        [
+            (
+                f"1/{PARTITION_GROUPS}",
+                f"{1e3 * quarter_time / WAVES:.3f}",
+                quarter["ctl_plans_recomputed"],
+            ),
+            ("all", f"{1e3 * all_time / WAVES:.3f}", everything["ctl_plans_recomputed"]),
+            ("ratio", f"{ratio:.2f}", ""),
+        ],
+    )
+    report.add_metric("quarter_dirty_wave_seconds", quarter_time / WAVES)
+    report.add_metric("all_dirty_wave_seconds", all_time / WAVES)
+    report.add_metric("dirty_time_ratio", ratio)
+
+    # Exactly the dirty requirements are re-planned: the initial wave plus
+    # one group per churn wave.
+    assert quarter["ctl_plans_recomputed"] == COUNT + WAVES * (COUNT // PARTITION_GROUPS)
+    assert everything["ctl_plans_recomputed"] == COUNT * (WAVES + 1)
+    assert quarter["ctl_fallbacks"] == everything["ctl_fallbacks"] == 0
+    # The cost follows the dirty fraction, not the requirement count.
+    assert ratio <= 0.75
+
+    # Equivalence, outside the clock: bit-identical to the oracle after
+    # every wave, and the workload really installs lies.
+    assert check_partition_against_oracle(PARTITION_GROUPS) > 0

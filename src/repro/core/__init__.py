@@ -24,7 +24,7 @@ uneven splitting ratios.  The sub-modules follow the controller's pipeline:
 ``reconciler``
     Incremental reconciliation: the versioned plan cache and the minimal
     retract/inject deltas that keep reaction cost proportional to what
-    actually changed (with the clear-and-replay oracle as fallback).
+    actually changed.
 ``optimizer``
     The min-max link-utilisation linear program (the "optimal solution to
     the min-max link utilization problem" of §2) and its conversion into
@@ -33,11 +33,6 @@ uneven splitting ratios.  The sub-modules follow the controller's pipeline:
     The Fibbing controller session: applies requirements to a live
     :class:`~repro.igp.network.IgpNetwork` (or returns static lies) and
     accounts for control-plane overhead.
-``shard``
-    The sharded multi-controller: N controller shards behind one
-    reconciliation facade, planning disjoint prefix sub-waves concurrently
-    and merging their deltas into one batched injection — bit-identical to
-    a single controller.
 ``loadbalancer``
     The demo's on-demand service: reacts to utilisation alarms by
     re-optimising the affected destinations and updating the lies.
@@ -53,7 +48,6 @@ from repro.core.lies import Lie, LieState, LieRegistry, LieUpdate
 from repro.core.reconciler import CtlCounters, LieReconciler, PlanCache
 from repro.core.optimizer import MinMaxLoadOptimizer, OptimizationResult
 from repro.core.controller import FibbingController, ControllerUpdate, ControllerStats
-from repro.core.shard import ShardCounters, ShardedFibbingController, default_shard_assignment
 from repro.core.loadbalancer import OnDemandLoadBalancer, RebalanceAction
 from repro.core.policies import LoadBalancerPolicy
 
@@ -80,9 +74,6 @@ __all__ = [
     "FibbingController",
     "ControllerUpdate",
     "ControllerStats",
-    "ShardCounters",
-    "ShardedFibbingController",
-    "default_shard_assignment",
     "OnDemandLoadBalancer",
     "RebalanceAction",
     "LoadBalancerPolicy",

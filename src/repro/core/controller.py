@@ -15,7 +15,7 @@ material of the control-plane overhead comparison against MPLS RSVP-TE.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.augmentation import DEFAULT_EPSILON
 from repro.core.lies import LieRegistry, LieUpdate
@@ -81,13 +81,6 @@ class ControllerStats:
     ctl_resync_lies_recovered: int = 0
     ctl_reactions_abandoned: int = 0
     ctl_stagger_lsas_dropped: int = 0
-    # Sharded-facade counters (always zero for a single controller); see
-    # :class:`repro.core.shard.ShardCounters`.
-    shard_waves_parallel: int = 0
-    shard_waves_serial: int = 0
-    shard_dirty: int = 0
-    shard_clean: int = 0
-    shard_cross_fallbacks: int = 0
 
     def snapshot(self) -> Dict[str, int]:
         """Plain-dict copy for reporting."""
@@ -131,11 +124,6 @@ class ControllerStats:
             "ctl_resync_lies_recovered": self.ctl_resync_lies_recovered,
             "ctl_reactions_abandoned": self.ctl_reactions_abandoned,
             "ctl_stagger_lsas_dropped": self.ctl_stagger_lsas_dropped,
-            "shard_waves_parallel": self.shard_waves_parallel,
-            "shard_waves_serial": self.shard_waves_serial,
-            "shard_dirty": self.shard_dirty,
-            "shard_clean": self.shard_clean,
-            "shard_cross_fallbacks": self.shard_cross_fallbacks,
         }
 
 
@@ -170,8 +158,6 @@ class FibbingController:
         attachment: Optional[str] = None,
         epsilon: float = DEFAULT_EPSILON,
         incremental: bool = True,
-        plan_dirty_threshold: float = 0.5,
-        plan_cache: Optional[PlanCache] = None,
     ) -> None:
         """Create a controller for ``topology``.
 
@@ -181,9 +167,6 @@ class FibbingController:
         clear-and-replay engine, kept as the differential oracle).  The
         installed LSAs and resulting FIBs are bit-identical either way; only
         the ``ctl_*`` counters and the wall-clock cost differ.
-        ``plan_dirty_threshold`` is the fallback knob: when more than that
-        fraction of an enforce wave's requirements changed, the wave is
-        re-planned in full and counted as a ``ctl_fallback``.
         """
         self.topology = topology
         self.name = name
@@ -191,14 +174,15 @@ class FibbingController:
         self.epsilon = epsilon
         self.incremental = incremental
         self.registry = LieRegistry(controller=name)
-        self.reconciler = LieReconciler(
-            registry=self.registry,
-            controller=name,
-            plan_cache=plan_cache,
-            plan_dirty_threshold=plan_dirty_threshold,
-        )
+        self.reconciler = LieReconciler(registry=self.registry, controller=name)
         self._stats = ControllerStats()
         self.updates: List[ControllerUpdate] = []
+        #: Optional ``wave_injector(attachment, groups)`` hook: when set, an
+        #: enforce wave's LSAs are handed over as one group per prefix, in
+        #: wave order, instead of being injected as one burst (the
+        #: :class:`~repro.core.scheduler.ControlLoopScheduler` staggers the
+        #: groups in simulated time through it).
+        self.wave_injector: Optional[Callable[[str, List[List[Lsa]]], None]] = None
         # Baseline-FIB memo keyed on the topology revision:
         # (revision, max_ecmp, fibs).  Incremental mode only.
         self._baseline_memo: Optional[Tuple[int, int, Dict[str, Fib]]] = None
@@ -275,11 +259,9 @@ class FibbingController:
         version are both unchanged since its last enforcement is skipped
         outright (a ``ctl_plan_cache_hit``: no validation, no synthesis, no
         diff — the installed lies are kept); only the changed requirements
-        are re-planned.  When more than ``plan_dirty_threshold`` of the wave
-        changed, the whole wave is re-planned clear-and-replay style and
-        counted as a ``ctl_fallback``.  Both paths install bit-identical
-        LSAs — the differential suite holds the incremental engine to the
-        ``incremental=False`` oracle.
+        are re-planned, so a wave costs in proportion to what changed.  Both
+        modes install bit-identical LSAs — the differential suite holds the
+        incremental engine to the ``incremental=False`` oracle.
         """
         self._check_attached()
         reqs = list(requirements)
@@ -298,29 +280,10 @@ class FibbingController:
 
         version = self.baseline_route_cache.version
         counters = self.reconciler.counters
-        dirty = sum(
-            1 for requirement in reqs
-            if not self.reconciler.is_clean(version, requirement)
-        )
-        fallback = self.reconciler.wave_fallback(len(reqs), dirty)
-        if fallback:
-            counters.fallbacks += 1
-        # One registry snapshot serves every skipped prefix of the wave; an
-        # earlier plan of the same wave can only have changed the counts of
-        # prefixes it planned, which are tracked and re-read exactly.
-        active_counts = self.registry.active_counts()
-        planned_prefixes = set()
         for requirement in reqs:
-            if not fallback and self.reconciler.is_clean(version, requirement):
+            if self.reconciler.is_clean(version, requirement):
                 counters.plan_cache_hits += 1
-                plan = self.reconciler.noop_plan(
-                    requirement.prefix,
-                    active_count=(
-                        None
-                        if requirement.prefix in planned_prefixes
-                        else active_counts.get(requirement.prefix, 0)
-                    ),
-                )
+                plan = self.reconciler.noop_plan(requirement.prefix)
             else:
                 counters.plans_recomputed += 1
                 plan = self._plan_requirement(
@@ -328,7 +291,6 @@ class FibbingController:
                 )
             self.registry.commit(plan, now=now)
             self.reconciler.mark_enforced(version, requirement)
-            planned_prefixes.add(requirement.prefix)
             plans.append(plan)
         return self._apply_batch(plans, already_committed=True)
 
@@ -561,20 +523,27 @@ class FibbingController:
         All inject/withdraw LSAs of the whole batch enter the network through
         a single :meth:`~repro.igp.network.IgpNetwork.inject` call, so the
         routers' SPF hold-down timers coalesce the burst into one
-        recomputation wave.
+        recomputation wave — unless :attr:`wave_injector` is set, which
+        receives the same LSAs grouped per prefix, in wave order.
         """
         self._check_attached()
         now = self._now()
         to_send: List[Lsa] = []
         plan_messages: List[List[Lsa]] = []
+        prefix_groups: Dict[Prefix, List[Lsa]] = {}
         for plan in plans:
             messages: List[Lsa] = list(plan.to_inject)
             messages.extend(lsa.withdraw() for lsa in plan.to_withdraw)
             plan_messages.append(messages)
             to_send.extend(messages)
+            if messages:
+                prefix_groups.setdefault(plan.prefix, []).extend(messages)
         if self.network is not None and to_send:
             assert self.attachment is not None  # enforced in __init__
-            self.network.inject(to_send, at_router=self.attachment)
+            if self.wave_injector is None:
+                self.network.inject(to_send, at_router=self.attachment)
+            else:
+                self.wave_injector(self.attachment, list(prefix_groups.values()))
 
         applied: List[ControllerUpdate] = []
         for plan, messages in zip(plans, plan_messages):

@@ -55,12 +55,7 @@ class RebalanceAction:
     #: ``ctl_*`` counter snapshot of the controller at reaction time.
     #: Diffing consecutive actions' snapshots shows how much of the
     #: reaction was served from the plan cache vs. re-planned, and how many
-    #: lies the wave actually moved.  With a
-    #: :class:`~repro.core.shard.ShardedFibbingController` the snapshot
-    #: additionally carries the ``shard_*`` keys (waves dispatched in
-    #: parallel vs. serially, shard sub-waves dirty vs. clean, cross-shard
-    #: fallbacks), so per-reaction diffs also show how the wave spread
-    #: across the shard fleet.
+    #: lies the wave actually moved.
     controller_counters: Dict[str, int] = field(default_factory=dict)
     #: Simulated time at which the reaction actually executed.  With the
     #: synchronous wiring this equals ``time`` (the alarm instant); under the
@@ -159,12 +154,7 @@ class OnDemandLoadBalancer:
         only prefixes whose requirement actually changed see any lie churn.
         With an ``incremental=False`` controller every stage recomputes from
         scratch (the differential oracle); the installed lies and FIBs are
-        bit-identical either way.  With a
-        :class:`~repro.core.shard.ShardedFibbingController` the enforcement
-        stage additionally partitions the requirement wave by prefix and
-        plans the per-shard sub-waves concurrently before merging them into
-        one injection — still bit-identical, per the shard differential
-        suite.
+        bit-identical either way.
 
         ``event`` may be omitted for a manual trigger (see
         :meth:`rebalance_now`); alarm wiring passes the
@@ -230,13 +220,8 @@ class OnDemandLoadBalancer:
         return self.dataplane.counters.snapshot()
 
     def _controller_snapshot(self) -> Dict[str, int]:
-        """The controller's ``ctl_*`` (and, when sharded, ``shard_*``)
-        counters at this instant."""
-        snapshot = self.controller.reconciler.counters.snapshot()
-        shard_counters = getattr(self.controller, "shard_counters", None)
-        if shard_counters is not None:
-            snapshot.update(shard_counters.snapshot())
-        return snapshot
+        """The controller's ``ctl_*`` counters at this instant."""
+        return self.controller.reconciler.counters.snapshot()
 
     def handle_topology_change(self, time: float = 0.0) -> Optional[RebalanceAction]:
         """Re-optimise after a topology event (e.g. a link failure).

@@ -14,7 +14,7 @@ reductions that matter for the load-balancing use case:
   error tolerance.
 
 The :class:`MergeReport` records how many ECMP entries and lies each step
-saved, which feeds the lie-count scaling ablation (DESIGN.md, A2).
+saved, which feeds the lie-count scaling ablation (experiment A2).
 """
 
 from __future__ import annotations

@@ -19,10 +19,9 @@ layer, closing the last from-scratch stage of the reaction pipeline
   cost), allocates fake-node names only for lies that are actually
   injected, and keeps the per-prefix ``(version, digest)`` bookkeeping that
   lets :meth:`~repro.core.controller.FibbingController.enforce` skip clean
-  requirements outright.  Past ``plan_dirty_threshold`` (fraction of the
-  requirement set that moved) the reconciler falls back to the full
-  clear-and-replay plan, counted as a ``ctl_fallback`` — the same knob
-  pattern as ``RibCache.dirty_threshold`` and ``alloc_dirty_threshold``.
+  requirements outright.  There is no dirty-fraction fallback: re-planning
+  a clean requirement reproduces its installed lies exactly, so a wave
+  costs in proportion to the requirements that changed.
 
 Name allocation is deliberately a function of the *committed* lie history
 only (a counter that advances once per injected lie), never of how many
@@ -42,7 +41,6 @@ from repro.core.lies import LieRegistry, LieUpdate
 from repro.core.requirements import DestinationRequirement
 from repro.igp.fib import Fib
 from repro.igp.lsa import FakeNodeLsa
-from repro.util.errors import ControllerError
 from repro.util.prefixes import Prefix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,35 +54,7 @@ __all__ = [
     "MergedPlan",
     "PlanCache",
     "LieReconciler",
-    "wave_past_threshold",
-    "fake_node_name",
 ]
-
-
-def fake_node_name(controller: str, anchor: str, sequence: int) -> str:
-    """The canonical fake-node name for the ``sequence``-th injected lie.
-
-    Shared by :meth:`LieReconciler._allocate_name` and the sharded facade's
-    central allocator: the bit-identical-lies invariant requires both to
-    produce the exact same byte sequence for the same committed history, so
-    the format lives in one place.
-    """
-    return f"{controller}-fake-{anchor}-{sequence}"
-
-
-def wave_past_threshold(
-    wave_size: int, dirty: int, has_state: bool, threshold: float
-) -> bool:
-    """The dirty-threshold fallback predicate, in one place.
-
-    True when an enforce wave of ``wave_size`` requirements with ``dirty``
-    changed ones must be re-planned in full, clear-and-replay style.  Every
-    enforce path — the controller's wave loop, the sharded facade's
-    per-shard planner, its process-mode pre-selection and its serial
-    duplicate-prefix path — routes through this function, so the sites can
-    never drift apart.
-    """
-    return bool(wave_size and has_state and dirty > threshold * wave_size)
 
 
 @dataclass
@@ -93,9 +63,9 @@ class CtlCounters:
 
     ``plan_cache_hits`` are requirements served without any planning work
     (version and digest unchanged, installed lies kept as-is);
-    ``plans_recomputed`` went through synthesis + diff; ``fallbacks`` are
-    enforce waves whose dirty fraction exceeded ``plan_dirty_threshold`` and
-    were re-planned in full, clear-and-replay style.  ``lies_injected`` /
+    ``plans_recomputed`` went through synthesis + diff; ``fallbacks`` stays
+    0 (the controller has no dirty-fraction fallback; the counter is kept so
+    reports and dashboards keep their key).  ``lies_injected`` /
     ``lies_retracted`` / ``lies_kept`` break every applied plan down into
     actual network churn versus state carried over.  ``opt_cache_hits`` and
     ``merge_cache_hits`` count whole optimisation results and merged weight
@@ -210,8 +180,8 @@ class PlanCache:
     served again (versions are monotone), so keeping them would only leak.
     """
 
-    def __init__(self, counters: Optional[CtlCounters] = None) -> None:
-        self.counters = counters if counters is not None else CtlCounters()
+    def __init__(self) -> None:
+        self.counters = CtlCounters()
         self._shapes: Dict[Tuple[int, str, float], Tuple[LieShape, ...]] = {}
         self._merged: Dict[Tuple[int, str, float, int], MergedPlan] = {}
         self._optimizations: Dict[Tuple, "OptimizationResult"] = {}
@@ -315,22 +285,11 @@ class LieReconciler:
     """Plans per-prefix lie sets and emits minimal deltas against the registry."""
 
     def __init__(
-        self,
-        registry: LieRegistry,
-        controller: str = "fibbing-controller",
-        plan_cache: Optional[PlanCache] = None,
-        plan_dirty_threshold: float = 0.5,
+        self, registry: LieRegistry, controller: str = "fibbing-controller"
     ) -> None:
-        if not 0.0 <= plan_dirty_threshold <= 1.0:
-            raise ControllerError(
-                f"plan_dirty_threshold must be in [0, 1], got {plan_dirty_threshold}"
-            )
         self.registry = registry
         self.controller = controller
-        self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
-        #: Fraction of the requirement set beyond which an enforce wave is
-        #: re-planned in full, clear-and-replay style (the fallback knob).
-        self.plan_dirty_threshold = plan_dirty_threshold
+        self.plan_cache = PlanCache()
         # Last enforced (baseline version, requirement digest) per prefix;
         # a matching pair means the installed lies already realise the
         # requirement and the whole planning pass can be skipped.
@@ -348,17 +307,6 @@ class LieReconciler:
     # ------------------------------------------------------------------ #
     # Cleanliness bookkeeping
     # ------------------------------------------------------------------ #
-    @property
-    def has_state(self) -> bool:
-        """Whether any requirement has been enforced since the last clear."""
-        return bool(self._enforced)
-
-    def wave_fallback(self, wave_size: int, dirty: int) -> bool:
-        """:func:`wave_past_threshold` against this reconciler's own state."""
-        return wave_past_threshold(
-            wave_size, dirty, self.has_state, self.plan_dirty_threshold
-        )
-
     def is_clean(
         self, version: Optional[int], requirement: DestinationRequirement
     ) -> bool:
@@ -421,48 +369,28 @@ class LieReconciler:
             )
             if version is not None:
                 self.plan_cache.store_shapes(version, requirement, epsilon, shapes)
-        return self.desired_from_shapes(requirement.prefix, shapes)
-
-    def desired_from_shapes(
-        self, prefix: Prefix, shapes: Tuple[LieShape, ...]
-    ) -> List[FakeNodeLsa]:
-        """Materialise placeholder-named LSAs from pre-computed lie shapes.
-
-        Used by :meth:`desired_lies` and by the sharded facade's process
-        mode, where the shapes of a wave are synthesised out-of-process and
-        only the (cheap) diffing runs in the controller.
-        """
         return [
             FakeNodeLsa(
                 origin=self.controller,
                 fake_node=f"pending-{index + 1}",
                 anchor=shape.anchor,
                 link_cost=shape.link_cost,
-                prefix=prefix,
+                prefix=requirement.prefix,
                 prefix_cost=shape.prefix_cost,
                 forwarding_address=shape.forwarding_address,
             )
             for index, shape in enumerate(shapes)
         ]
 
-    def reconcile(
-        self, prefix: Prefix, desired: List[FakeNodeLsa], allocate_names: bool = True
-    ) -> LieUpdate:
+    def reconcile(self, prefix: Prefix, desired: List[FakeNodeLsa]) -> LieUpdate:
         """Diff ``desired`` against the installed lies; name the injections.
 
         Matching is by behavioural signature, so unchanged lies keep their
         installed LSA (and name) untouched; only genuinely new lies receive
         a fresh name from the committed-history counter.
-
-        ``allocate_names=False`` defers the naming: the returned plan keeps
-        the placeholder names of ``desired``.  The sharded facade plans
-        shard waves concurrently this way and allocates final names
-        centrally, in wave order, so the name sequence stays a function of
-        the committed lie history only — independent of shard count and of
-        which worker finished first.
         """
         plan = self.registry.plan_update(prefix, desired)
-        if not plan.to_inject or not allocate_names:
+        if not plan.to_inject:
             return plan
         named = tuple(
             replace(lsa, fake_node=self._allocate_name(lsa.anchor))
@@ -475,19 +403,13 @@ class LieReconciler:
             unchanged=plan.unchanged,
         )
 
-    def noop_plan(self, prefix: Prefix, active_count: Optional[int] = None) -> LieUpdate:
-        """The plan of a clean requirement: everything installed is kept.
-
-        ``active_count`` lets the caller supply a pre-snapshotted count (one
-        registry pass per wave instead of one per skipped prefix).
-        """
-        if active_count is None:
-            active_count = self.registry.active_count(prefix)
+    def noop_plan(self, prefix: Prefix) -> LieUpdate:
+        """The plan of a clean requirement: everything installed is kept."""
         return LieUpdate(
             prefix=prefix,
             to_inject=(),
             to_withdraw=(),
-            unchanged=active_count,
+            unchanged=self.registry.active_count(prefix),
         )
 
     def record_applied(self, plan: LieUpdate) -> None:
@@ -498,7 +420,7 @@ class LieReconciler:
 
     def _allocate_name(self, anchor: str) -> str:
         self._name_counter += 1
-        return fake_node_name(self.controller, anchor, self._name_counter)
+        return f"{self.controller}-fake-{anchor}-{self._name_counter}"
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

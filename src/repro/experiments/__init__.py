@@ -43,12 +43,10 @@ from repro.experiments.scaling import (
     FlashCrowdScalingRow,
     LieScalingRow,
     ReconcileScalingRow,
-    ShardScalingRow,
     SplitApproximationRow,
     run_flashcrowd_scaling,
     run_lie_scaling,
     run_reconcile_scaling,
-    run_shard_scaling,
     run_split_approximation,
 )
 from repro.experiments.sweep import (
@@ -78,12 +76,10 @@ __all__ = [
     "FlashCrowdScalingRow",
     "LieScalingRow",
     "ReconcileScalingRow",
-    "ShardScalingRow",
     "SplitApproximationRow",
     "run_flashcrowd_scaling",
     "run_lie_scaling",
     "run_reconcile_scaling",
-    "run_shard_scaling",
     "run_split_approximation",
     "EXPERIMENTS",
     "SWEEPS",

@@ -110,7 +110,6 @@ def run_fig1(
 def fig1_lie_digests(
     scenario: DemoScenario | None = None,
     incremental: bool = True,
-    shards: int = 0,
 ) -> Dict[str, str]:
     """Per-prefix digests of the lies the controller pipeline installs.
 
@@ -118,10 +117,8 @@ def fig1_lie_digests(
     Fig. 1 scenario and digests the installed :class:`FakeNodeLsa` set per
     prefix (names included, so the controller's deterministic naming is
     pinned too).  The golden snapshot requires the ``incremental=True``
-    reconciler, the ``incremental=False`` clear-and-replay oracle *and* the
-    sharded facade (``shards > 0`` builds a
-    :class:`~repro.core.shard.ShardedFibbingController`) to land on the
-    exact same digests.
+    reconciler and the ``incremental=False`` clear-and-replay oracle to land
+    on the exact same digests.
     """
     from repro.core.lies import per_prefix_lie_digests
 
@@ -135,14 +132,7 @@ def fig1_lie_digests(
             for server, rate in scenario.static_demands.items()
         }
     )
-    if shards > 0:
-        from repro.core.shard import ShardedFibbingController
-
-        controller = ShardedFibbingController(
-            topology, shards=shards, incremental=incremental
-        )
-    else:
-        controller = FibbingController(topology, incremental=incremental)
+    controller = FibbingController(topology, incremental=incremental)
     result = MinMaxLoadOptimizer(topology).optimize(demands, [prefix])
     requirement = DestinationRequirement.from_fractions(
         prefix, result.to_fractions()[prefix]

@@ -124,12 +124,10 @@ def run_demo_timeseries(
     dataplane_aggregate: bool = False,
     dataplane_kernel: Optional[str] = None,
     controller_incremental: bool = True,
-    controller_shards: int = 0,
-    controller_parallel: str = "serial",
     seed: Optional[int] = None,
     poll_jitter: float = 0.0,
     reaction_latency: float = 0.0,
-    shard_stagger: float = 0.0,
+    stagger: float = 0.0,
     supersede: bool = True,
     fault_plan: Optional[FaultPlan] = None,
     staleness_horizon: Optional[float] = None,
@@ -152,11 +150,6 @@ def run_demo_timeseries(
     ``REPRO_KERNEL``).  ``controller_incremental=False`` likewise runs
     the controller's clear-and-replay oracle instead of the plan-cache
     reconciler, with bit-identical installed lies and traffic.
-    ``controller_shards > 0`` swaps the single controller for a
-    :class:`~repro.core.shard.ShardedFibbingController` with that many
-    shards (``controller_parallel`` picks its dispatch mode) — again
-    bit-identical, per the shard differential suite; the run's
-    ``controller_stats`` then carry the ``shard_*`` wave counters.
     ``seed`` (the sweep harness entry point) derives the flow ``hash_salt``
     from an explicit ``random.Random(seed)`` when no salt is given — the
     run is a pure function of its arguments, with no module-level RNG state
@@ -173,8 +166,8 @@ def run_demo_timeseries(
       reaction executing (via
       :class:`~repro.core.scheduler.ControlLoopScheduler`); the reaction
       observes demand/monitoring state at the completion instant;
-    * ``shard_stagger`` — with ``controller_shards > 0``, the gap between
-      consecutive per-shard injection sub-waves;
+    * ``stagger`` — the gap between consecutive per-prefix injection
+      sub-waves of one reaction;
     * ``supersede`` — whether an alarm firing mid-reaction cancels the
       pending reaction and re-plans from fresh state (counted in
       ``ctl_supersessions``).
@@ -262,26 +255,13 @@ def run_demo_timeseries(
     balancer: Optional[OnDemandLoadBalancer] = None
     controller: Optional[FibbingController] = None
     if with_controller:
-        if controller_shards > 0:
-            from repro.core.shard import ShardedFibbingController
-
-            controller = ShardedFibbingController(
-                topology,
-                shards=controller_shards,
-                network=network,
-                attachment=scenario.controller_attachment,
-                epsilon=policy.epsilon,
-                incremental=controller_incremental,
-                parallel=controller_parallel,
-            )
-        else:
-            controller = FibbingController(
-                topology,
-                network=network,
-                attachment=scenario.controller_attachment,
-                epsilon=policy.epsilon,
-                incremental=controller_incremental,
-            )
+        controller = FibbingController(
+            topology,
+            network=network,
+            attachment=scenario.controller_attachment,
+            epsilon=policy.epsilon,
+            incremental=controller_incremental,
+        )
         registry = ClientRegistry()
         registry.attach(service.bus)
         balancer = OnDemandLoadBalancer(
@@ -298,13 +278,13 @@ def run_demo_timeseries(
             balancer,
             timeline,
             reaction_latency=reaction_latency,
-            shard_stagger=shard_stagger,
+            stagger=stagger,
             supersede=supersede,
         )
         scheduler.attach(alarm)
         # Read-only observer (registered after the engine's FIB listener, so
         # it sees the freshly re-walked interim data-plane state).
-        ConvergenceMonitor(network, engine, counters=controller.plan_cache.counters)
+        ConvergenceMonitor(network, engine, counters=controller.reconciler.counters)
 
     # --- chaos ------------------------------------------------------------- #
     injector: Optional[FaultInjector] = None
@@ -333,15 +313,7 @@ def run_demo_timeseries(
     sessions = apply_schedule(service, timeline, schedule, scenario.blue_prefix)
 
     # --- run ------------------------------------------------------------------ #
-    try:
-        timeline.run_until(epoch + duration)
-    finally:
-        close = getattr(controller, "close", None)
-        if close is not None:
-            # Shut the sharded facade's executors down (also when the run
-            # raises); counters and installed lies survive for the result
-            # collection below.
-            close()
+    timeline.run_until(epoch + duration)
 
     # --- collect results ----------------------------------------------------- #
     throughput_series: Dict[LinkKey, List[Tuple[float, float]]] = {

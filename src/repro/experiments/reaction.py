@@ -41,7 +41,7 @@ class ReactionRow:
     poll_jitter: float
     reaction_latency: float
     spf_delay: float
-    shard_stagger: float
+    stagger: float
     alarms: int
     actions: int
     #: ``ctl_*`` bookkeeping of the asynchronous scheduler and the
@@ -80,14 +80,13 @@ def run_reaction_curves(
     poll_jitter: float = 0.0,
     duration: float = 60.0,
     threshold: float = 0.9,
-    controller_shards: int = 0,
-    shard_stagger: float = 0.0,
+    stagger: float = 0.0,
 ) -> List[ReactionRow]:
     """Sweep the timing knobs and return one :class:`ReactionRow` per point.
 
     The grid is the cartesian product ``spf_delays x poll_intervals x
-    reaction_latencies`` (in that nesting order); ``poll_jitter``,
-    ``controller_shards`` and ``shard_stagger`` apply to every point.  Each
+    reaction_latencies`` (in that nesting order); ``poll_jitter`` and
+    ``stagger`` apply to every point.  Each
     point runs the full Fig. 2 closed loop for ``duration`` seconds and
     reports the alarm-to-cool reaction times against ``threshold``.
     """
@@ -102,8 +101,7 @@ def run_reaction_curves(
                     poll_interval=poll_interval,
                     poll_jitter=poll_jitter,
                     reaction_latency=reaction_latency,
-                    shard_stagger=shard_stagger,
-                    controller_shards=controller_shards,
+                    stagger=stagger,
                     router_timers=timers,
                     seed=seed,
                 )
@@ -123,7 +121,7 @@ def run_reaction_curves(
                         poll_jitter=poll_jitter,
                         reaction_latency=reaction_latency,
                         spf_delay=spf_delay,
-                        shard_stagger=shard_stagger,
+                        stagger=stagger,
                         alarms=len(result.alarms),
                         actions=len(result.actions),
                         reactions_deferred=int(stats.get("ctl_reactions_deferred", 0)),

@@ -1,7 +1,7 @@
 """Extended ablations: lie-count scaling, split-approximation error,
 data-plane flash-crowd scaling, and controller reconciliation scaling.
 
-These back the design-choice discussions of DESIGN.md:
+Each one backs a design choice of the reproduction:
 
 * **A2 — lie-count scaling**: how many fake-node LSAs the controller needs
   as the topology and the number of rebalanced destinations grow, with and
@@ -18,14 +18,6 @@ These back the design-choice discussions of DESIGN.md:
   reconciler behaves as the requirement count grows while only one
   requirement changes per reaction, versus the clear-and-replay oracle
   whose per-reaction cost is O(requirements).
-* **A6 — sharded controller scaling**: how the sharded facade behaves on
-  disjoint-prefix reaction waves (each wave churning every requirement of
-  exactly one shard), versus the single incremental controller whose
-  dirty-threshold fallback re-plans the *whole* wave.  Sharding evaluates
-  the threshold per shard sub-wave, confining the clear-and-replay blast
-  radius to the shard that actually churned — the controller-layer mirror
-  of the data plane's per-component warm-start repair; on multi-core hosts
-  the ``parallel=`` executor additionally overlaps the sub-wave planning.
 """
 
 from __future__ import annotations
@@ -33,7 +25,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.core.merger import LieMerger
 from repro.core.optimizer import MinMaxLoadOptimizer
@@ -55,18 +47,16 @@ __all__ = [
     "SplitApproximationRow",
     "FlashCrowdScalingRow",
     "ReconcileScalingRow",
-    "ShardScalingRow",
     "run_lie_scaling",
     "run_split_approximation",
     "run_flashcrowd_scaling",
     "run_reconcile_scaling",
-    "run_shard_scaling",
     "build_pod_topology",
     "build_ring_topology",
     "churn_requirement",
+    "partition_churn_waves",
     "replay_requirement_churn",
-    "replay_shard_churn",
-    "ring_shard_assignment",
+    "replay_partition_churn",
     "pod_prefix",
     "replay_wave",
 ]
@@ -459,175 +449,49 @@ def run_reconcile_scaling(
     return rows
 
 
-@dataclass(frozen=True)
-class ShardScalingRow:
-    """One shard count, replayed through single and sharded controllers."""
+def partition_churn_waves(
+    topology: Topology, count: int, waves: int, groups: int
+) -> Iterator[List[DestinationRequirement]]:
+    """The requirement waves of the partition churn workload.
 
-    shards: int
-    requirements: int
-    waves: int
-    single_seconds: float
-    sharded_seconds: float
-    single_plans_recomputed: int
-    single_fallbacks: int
-    sharded_plans_recomputed: int
-    sharded_plan_cache_hits: int
-    shard_dirty: int
-    shard_clean: int
-    waves_parallel: int
-    waves_serial: int
-
-    @property
-    def speedup(self) -> float:
-        """Wall-clock advantage of the sharded facade on this churn."""
-        if self.sharded_seconds <= 0:
-            return float("inf")
-        return self.single_seconds / self.sharded_seconds
-
-
-def ring_shard_assignment(topology: Topology, count: int, shards: int):
-    """Pin the ring prefixes round-robin to shards, by churn index.
-
-    :func:`churn_requirement` addresses prefixes by index; this assignment
-    puts index ``i`` into shard ``i % shards``, so a wave that churns every
-    index of one residue class dirties exactly one shard — the
-    disjoint-prefix reaction-wave shape of the A6 study.
+    Yields the initial all-new wave, then ``waves`` churn waves.  The
+    requirement indices are partitioned round-robin into ``groups`` groups;
+    churn wave ``w`` bumps the generation of every requirement in group
+    ``w % groups`` and leaves the other groups untouched, so ``1/groups`` of
+    every churn wave is dirty.
     """
-    size = topology.num_routers
-    mapping = {}
-    for index in range(count):
-        prefix = topology.attachments_of(f"R{index % size}")[index // size].prefix
-        mapping[prefix] = index % shards
-
-    def assign(prefix: Prefix, _shards: int) -> int:
-        return mapping[prefix]
-
-    return assign
-
-
-def replay_shard_churn(
-    controller,
-    topology: Topology,
-    count: int,
-    waves: int,
-    shards: int,
-    rng: Optional[random.Random] = None,
-) -> float:
-    """Drive ``waves`` enforce waves, each churning every requirement of
-    exactly one shard (index residue ``wave % shards``, rotating) while the
-    other shards' requirements stay untouched; returns the wall-clock
-    seconds spent planning and reconciling the churn waves.  The initial
-    all-new wave (and with it the one-time baseline-FIB computation, which
-    both engines pay identically) runs before the clock starts: the study
-    object is the steady-state reaction cost.  With an explicit ``rng`` the
-    churned shard is drawn per wave instead of rotating — equally-seeded
-    instances replay identical churns, keeping the single/sharded
-    comparison exact under seeded sweeps.  Shared with
-    ``benchmarks/test_bench_shard_scaling.py`` so the benchmark and the A6
-    scaling rows always measure the same workload."""
-    generations = {index: 0 for index in range(count)}
-    controller.enforce(
-        [churn_requirement(topology, index, 0) for index in range(count)]
-    )
-    start = time.perf_counter()
+    generations = [0] * count
+    yield [churn_requirement(topology, index, 0) for index in range(count)]
     for wave in range(1, waves + 1):
-        target = rng.randrange(shards) if rng is not None else wave % shards
-        for index in range(count):
-            if index % shards == target:
-                generations[index] += 1
-        controller.enforce(
-            [
-                churn_requirement(topology, index, generations[index])
-                for index in range(count)
-            ]
-        )
-    return time.perf_counter() - start
+        target = wave % groups
+        for index in range(target, count, groups):
+            generations[index] += 1
+        yield [
+            churn_requirement(topology, index, generations[index])
+            for index in range(count)
+        ]
 
 
-def run_shard_scaling(
-    shard_counts: Sequence[int] = (1, 2, 4),
-    requirements: int = 32,
-    waves: int = 30,
-    ring: int = 32,
-    plan_dirty_threshold: float = 0.2,
-    parallel: str = "serial",
-    seed: Optional[int] = None,
-) -> List[ShardScalingRow]:
-    """A6 — replay disjoint-prefix churn through single and sharded control.
+def replay_partition_churn(
+    controller, topology: Topology, count: int, waves: int, groups: int
+) -> float:
+    """Drive :func:`partition_churn_waves` through ``controller``.
 
-    Both sides run the *same* incremental engine with the same
-    ``plan_dirty_threshold``; each wave churns every requirement of one
-    shard (``1/shards`` of the set).  Whenever that dirty fraction exceeds
-    the threshold, the single controller's fallback re-plans the whole wave
-    — clean requirements included — while the facade evaluates the
-    threshold per shard sub-wave and re-plans only the shard that churned.
-    The lie sets are verified identical before any timing is reported.  On
-    multi-core hosts ``parallel="thread"`` (or ``"process"``) additionally
-    overlaps the sub-wave planning; the algorithmic gap measured here needs
-    no extra cores.  ``seed`` (sweep entry point) randomises which shard
-    churns per wave through an explicit ``random.Random(seed)`` — one fresh
-    instance per controller replay, so both sides see identical churns;
-    ``seed=None`` keeps the historical rotating churn.
+    Returns the wall-clock seconds spent enforcing the churn waves.  The
+    initial all-new wave (and with it the one-time baseline-FIB
+    computation) runs before the clock starts: the study object is the
+    steady-state reaction cost, which should scale with the dirty
+    requirements of a wave, not with the whole requirement set.
     """
-    from repro.core.controller import FibbingController
-    from repro.core.lies import lie_set_digest
-    from repro.core.shard import ShardedFibbingController
-
-    rows: List[ShardScalingRow] = []
-    for shards in shard_counts:
-        if shards < 1:
-            raise ValidationError(f"shard count must be >= 1, got {shards}")
-        topology = build_ring_topology(ring, requirements)
-
-        single = FibbingController(
-            topology, plan_dirty_threshold=plan_dirty_threshold
-        )
-        single_seconds = replay_shard_churn(
-            single, topology, requirements, waves, shards,
-            rng=None if seed is None else random.Random(seed),
-        )
-
-        sharded = ShardedFibbingController(
-            topology,
-            shards=shards,
-            plan_dirty_threshold=plan_dirty_threshold,
-            parallel=parallel,
-            assignment=ring_shard_assignment(topology, requirements, shards),
-        )
-        try:
-            sharded_seconds = replay_shard_churn(
-                sharded, topology, requirements, waves, shards,
-                rng=None if seed is None else random.Random(seed),
-            )
-            if lie_set_digest(sharded.active_lies()) != lie_set_digest(
-                single.active_lies()
-            ):
-                raise ValidationError(
-                    "sharded facade and single controller diverged on the churn workload"
-                )
-            single_counters = single.reconciler.counters
-            sharded_counters = sharded.reconciler.counters
-            shard_counters = sharded.shard_counters
-            rows.append(
-                ShardScalingRow(
-                    shards=shards,
-                    requirements=requirements,
-                    waves=waves,
-                    single_seconds=single_seconds,
-                    sharded_seconds=sharded_seconds,
-                    single_plans_recomputed=single_counters.plans_recomputed,
-                    single_fallbacks=single_counters.fallbacks,
-                    sharded_plans_recomputed=sharded_counters.plans_recomputed,
-                    sharded_plan_cache_hits=sharded_counters.plan_cache_hits,
-                    shard_dirty=shard_counters.shards_dirty,
-                    shard_clean=shard_counters.shards_clean,
-                    waves_parallel=shard_counters.waves_parallel,
-                    waves_serial=shard_counters.waves_serial,
-                )
-            )
-        finally:
-            sharded.close()
-    return rows
+    elapsed = 0.0
+    for wave, requirements in enumerate(
+        partition_churn_waves(topology, count, waves, groups)
+    ):
+        start = time.perf_counter()
+        controller.enforce(requirements)
+        if wave:
+            elapsed += time.perf_counter() - start
+    return elapsed
 
 
 def run_split_approximation(

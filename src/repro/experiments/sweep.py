@@ -1,7 +1,7 @@
 """Fleet-scale parallel sweep harness with ``BENCH_*.json`` artifacts.
 
 The paper's evaluation is a *grid* of runs — seeds × topologies × wave
-sizes for Fig. 1/Fig. 2, the A4/A5/A6 scaling rows — and every run is
+sizes for Fig. 1/Fig. 2, the A4/A5 scaling rows — and every run is
 embarrassingly parallel with respect to the others.  This module turns the
 ``experiments/`` harnesses into a declarative grid executor:
 
@@ -10,9 +10,8 @@ embarrassingly parallel with respect to the others.  This module turns the
   deterministic, ordered list of :class:`RunSpec` runs.
 * :class:`SweepHarness` executes the runs through a
   :mod:`concurrent.futures` pool (``parallel="serial" | "thread" |
-  "process"``, mirroring the ``core.shard`` executor knob that paved the
-  pickling groundwork — :class:`~repro.util.prefixes.Prefix` already
-  crosses process boundaries).  Every cache lineage an experiment builds
+  "process"``; :class:`~repro.util.prefixes.Prefix` pickles by value and
+  re-interns in the receiving process).  Every cache lineage an experiment builds
   (``SpfCache``/``RibCache``/``PlanCache``, engine path caches) is created
   *inside* the run, so each worker process owns its lineages outright and
   no cache state crosses process boundaries; every run derives its
@@ -20,7 +19,7 @@ embarrassingly parallel with respect to the others.  This module turns the
   experiment entry points, never from module-level RNG state — so results
   are independent of which worker executes a run and in what order.
 * :class:`SweepReport` merges the per-run counter snapshots (the same
-  ``spf_*``/``rib_*``/``dp_*``/``ctl_*``/``shard_*`` key space that
+  ``spf_*``/``rib_*``/``dp_*``/``ctl_*`` key space that
   :func:`repro.monitoring.counters.collect_counters` aggregates within one
   run) plus per-run wall-clock timings into one report, and saves it as a
   machine-readable ``BENCH_<name>.json`` at the repository root (schema:
@@ -67,7 +66,7 @@ __all__ = [
     "run_digest",
 ]
 
-#: Accepted values of the ``parallel=`` knob (same set as ``core.shard``).
+#: Accepted values of the ``parallel=`` knob.
 PARALLEL_MODES = ("serial", "thread", "process")
 
 
@@ -164,25 +163,6 @@ def _reconcile_experiment(seed, params):
             "ctl_lies_retracted": row.lies_retracted,
             "ctl_lies_kept": row.lies_kept,
             "ctl_fallbacks": row.fallbacks,
-        }
-        for row in rows
-    )
-    return [asdict(row) for row in rows], counters
-
-
-def _shard_experiment(seed, params):
-    """A6 — sharded-controller scaling (seed draws the churned shard)."""
-    from repro.experiments.scaling import run_shard_scaling
-
-    rows = run_shard_scaling(seed=seed, **params)
-    counters = merge_counter_snapshots(
-        {
-            "ctl_plans_recomputed": row.sharded_plans_recomputed,
-            "ctl_plan_cache_hits": row.sharded_plan_cache_hits,
-            "shard_dirty": row.shard_dirty,
-            "shard_clean": row.shard_clean,
-            "shard_waves_parallel": row.waves_parallel,
-            "shard_waves_serial": row.waves_serial,
         }
         for row in rows
     )
@@ -340,7 +320,6 @@ register_experiment(
 register_experiment(
     "reconcile", _reconcile_experiment, "A5 controller reconciliation scaling"
 )
-register_experiment("shard", _shard_experiment, "A6 sharded controller scaling")
 register_experiment("lie-scaling", _lie_scaling_experiment, "A2 lie-count scaling")
 register_experiment(
     "split-approx", _split_approx_experiment, "A3 split-approximation error"
@@ -726,14 +705,6 @@ _DEFAULT_SWEEP = SweepGrid(
         ),
         GridSpec.build(
             "reconcile", seeds=(0, 1, 2), requirement_counts=[(4, 8)], waves=[12], ring=[8]
-        ),
-        GridSpec.build(
-            "shard",
-            seeds=(0, 1),
-            shard_counts=[(1, 2)],
-            requirements=[8],
-            waves=[8],
-            ring=[8],
         ),
         GridSpec.build("lie-scaling", seeds=(0, 1), core_sizes=[(4,)], pops=[2]),
         GridSpec.build("fig2", seeds=(0, 1), duration=[25.0]),

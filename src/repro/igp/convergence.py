@@ -1,7 +1,7 @@
 """Convergence measurement helpers.
 
-The reaction-time ablation (DESIGN.md, experiment A1) needs to know how long
-the network takes, after the controller injects lies, until the last router
+The reaction-time ablation (experiment A1) needs to know how long the
+network takes, after the controller injects lies, until the last router
 installs its updated FIB.  :class:`ConvergenceTracker` subscribes to the FIB
 change notifications of an :class:`~repro.igp.network.IgpNetwork` and records
 every installation time, from which per-episode convergence durations are

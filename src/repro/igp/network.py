@@ -37,7 +37,6 @@ from repro.util.timeline import Timeline
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.chaos import FaultCounters
     from repro.core.reconciler import CtlCounters
-    from repro.core.shard import ShardCounters
 
 __all__ = ["IgpNetwork", "compute_static_fibs"]
 
@@ -130,27 +129,8 @@ class IgpNetwork:
         per-layer view in :attr:`spf_stats` and the monitoring collector.
         Several controllers may register (e.g. one per tenant); their
         counters are *merged*, never overwritten, by
-        :meth:`controller_counters`.  A
-        :class:`~repro.core.shard.ShardedFibbingController` registers only
-        its facade — its per-shard counters are already aggregated by the
-        facade's counter view, so registering the inner shards as well would
-        double-count them.
+        :meth:`controller_counters`.
         """
-        shards = getattr(controller, "shards", None)
-        if shards:
-            # A facade's aggregate view covers its shards; drop any shard
-            # that was registered directly so it is not counted twice.
-            self._controllers = [
-                existing for existing in self._controllers
-                if all(existing is not shard for shard in shards)
-            ]
-        else:
-            for existing in self._controllers:
-                existing_shards = getattr(existing, "shards", None)
-                if existing_shards and any(
-                    controller is shard for shard in existing_shards
-                ):
-                    return  # already covered by its facade's view
         if controller not in self._controllers:
             self._controllers.append(controller)
 
@@ -335,31 +315,14 @@ class IgpNetwork:
         """Merged ``ctl_*`` counters of every registered controller.
 
         Counters are summed across registrations: with several controllers
-        on one network (tenants, or a sharded facade whose aggregate view
-        already folds its shards in) every controller's reconciliation work
-        is represented exactly once.
+        on one network (e.g. one per tenant) every controller's
+        reconciliation work is represented exactly once.
         """
         from repro.core.reconciler import CtlCounters
 
         total = CtlCounters()
         for controller in self._controllers:
             total.merge(controller.reconciler.counters)
-        return total
-
-    def shard_counters(self) -> "ShardCounters":
-        """Merged ``shard_*`` counters of every registered sharded facade.
-
-        Plain controllers contribute nothing; each
-        :class:`~repro.core.shard.ShardedFibbingController` contributes its
-        wave-dispatch and shard dirty/clean accounting.
-        """
-        from repro.core.shard import ShardCounters
-
-        total = ShardCounters()
-        for controller in self._controllers:
-            counters = getattr(controller, "shard_counters", None)
-            if counters is not None:
-                total.merge(counters)
         return total
 
     def fault_counters(self) -> "FaultCounters":
@@ -386,11 +349,6 @@ class IgpNetwork:
         return self.controller_counters().snapshot()
 
     @property
-    def shard_stats(self) -> Dict[str, int]:
-        """Snapshot of the merged sharded-facade counters (``shard_*`` keys)."""
-        return self.shard_counters().snapshot()
-
-    @property
     def spf_stats(self) -> Dict[str, int]:
         """Aggregated SPF-, RIB- and data-plane-cache counters of the domain.
 
@@ -411,10 +369,6 @@ class IgpNetwork:
         of every registered controller: requirement plans served from the
         plan cache vs. recomputed, and the lie churn each reaction actually
         shipped (see :class:`~repro.core.reconciler.CtlCounters`).  The
-        ``shard_*`` keys report the sharded facade's wave dispatch (waves
-        planned in parallel vs. serially, shard sub-waves dirty vs. clean,
-        cross-shard fallbacks; see :class:`~repro.core.shard.ShardCounters`)
-        and stay zero while only single controllers are registered.  The
         ``fault_*`` keys report the seeded chaos the network was subjected
         to (links downed/restored, LSAs dropped in flight, polls timed out
         or omitted, controller crashes/resyncs; see
@@ -431,7 +385,6 @@ class IgpNetwork:
             **rib_total.snapshot(),
             **self.dataplane_counters().snapshot(),
             **self.controller_counters().snapshot(),
-            **self.shard_counters().snapshot(),
             **self.fault_counters().snapshot(),
         }
 

@@ -98,12 +98,9 @@ def collect_counters(network: "IgpNetwork") -> Dict[str, Dict[str, int]]:
     the flow pair); the
     ``"controller"`` entry carries the ``ctl_*`` reconciliation counters of
     every registered controller (requirement plans served from the plan
-    cache vs. recomputed, lies injected/retracted/kept, threshold
-    fallbacks), *merged across controllers* — several controllers (or one
-    sharded facade whose view folds its shards in) on one network each
-    contribute exactly once — plus the ``shard_*`` wave-dispatch counters
-    of any registered :class:`~repro.core.shard.ShardedFibbingController`;
-    the ``"faults"`` entry carries the ``fault_*`` chaos accounting of every
+    cache vs. recomputed, lies injected/retracted/kept), *merged across
+    controllers* — several controllers on one network each contribute
+    exactly once; the ``"faults"`` entry carries the ``fault_*`` chaos accounting of every
     registered :class:`~repro.core.chaos.FaultInjector` (links
     downed/restored, LSAs dropped in flight, polls timed out/omitted,
     controller crashes/restarts — all zero on clean runs); the ``"total"``
@@ -122,17 +119,15 @@ def collect_counters(network: "IgpNetwork") -> Dict[str, Dict[str, int]]:
         rib_total.merge(process.rib_cache.counters)
     dataplane = network.dataplane_counters()
     controller = network.controller_counters()
-    shard = network.shard_counters()
     faults = network.fault_counters()
     per_router["dataplane"] = dataplane.snapshot()
-    per_router["controller"] = {**controller.snapshot(), **shard.snapshot()}
+    per_router["controller"] = controller.snapshot()
     per_router["faults"] = faults.snapshot()
     per_router["total"] = {
         **total.snapshot(),
         **rib_total.snapshot(),
         **dataplane.snapshot(),
         **controller.snapshot(),
-        **shard.snapshot(),
         **faults.snapshot(),
     }
     return per_router

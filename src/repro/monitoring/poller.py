@@ -6,7 +6,7 @@ per-link bit rates, and hands the resulting :class:`PollSample` to its
 listeners (typically a :class:`~repro.monitoring.collector.LoadCollector`).
 
 The polling period is the dominant term of the controller's reaction time
-(ablation A1 in DESIGN.md): congestion can only be noticed at the next poll.
+(ablation A1): congestion can only be noticed at the next poll.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Two-level synthetic ISP topologies.
 
-The lie-count scaling ablation (DESIGN.md, experiment A2) needs networks with
-the structure the paper targets: a meshed core carrying transit traffic and
+The lie-count scaling ablation (experiment A2) needs networks with the
+structure the paper targets: a meshed core carrying transit traffic and
 aggregation points of presence (PoPs) where customer prefixes attach.  The
 generator below builds such a network deterministically from a seed:
 

@@ -3,7 +3,7 @@
 These are used by the optimality-gap and scaling benchmarks, which need a
 family of networks larger and more varied than the 7-router demo.  All
 generators take an explicit ``seed`` and are fully deterministic for a given
-seed, per the reproducibility policy in DESIGN.md.
+seed, so every benchmark run is reproducible.
 """
 
 from __future__ import annotations

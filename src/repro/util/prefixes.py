@@ -162,8 +162,8 @@ class Prefix:
 
     def __reduce__(self) -> Tuple:
         # Route unpickling through __new__(network, length) so prefixes
-        # crossing a process boundary (the sharded controller's process
-        # mode) re-intern in the receiving interpreter.
+        # crossing a process boundary (e.g. the sweep harness's process
+        # pool) re-intern in the receiving interpreter.
         return (Prefix, (self.network, self.length))
 
     def __eq__(self, other: object) -> bool:

@@ -10,17 +10,22 @@ Two families:
 * **Behavioural** — the timing knobs do what they claim: deferred reactions
   execute exactly ``reaction_latency`` later, supersession cancels pending
   reactions (and its starvation mode is reachable when the alarm cooldown is
-  shorter than the latency), staggered shard waves still converge to the
-  same lies, and the convergence monitor's accounting is correct on a
+  shorter than the latency), staggered per-prefix sub-waves still converge
+  to the same lies, and the convergence monitor's accounting is correct on a
   scripted sequence of inject/FIB events.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
 import repro.experiments.fig2 as fig2
+from repro.core.controller import FibbingController
 from repro.core.scheduler import ControlLoopScheduler, ConvergenceMonitor
 from repro.experiments.fig2 import run_demo_timeseries
-from repro.util.errors import ControllerError, ValidationError
+from repro.experiments.scaling import build_ring_topology, churn_requirement
+from repro.igp.network import IgpNetwork
+from repro.util.errors import ValidationError
 from repro.util.timeline import Timeline
 
 SEED = 7
@@ -46,8 +51,8 @@ class _DirectWiring:
     prove the scheduler's degenerate point reproduces it bit for bit.
     """
 
-    def __init__(self, balancer, timeline, reaction_latency=0.0, shard_stagger=0.0, supersede=True):
-        assert reaction_latency == 0.0 and shard_stagger == 0.0
+    def __init__(self, balancer, timeline, reaction_latency=0.0, stagger=0.0, supersede=True):
+        assert reaction_latency == 0.0 and stagger == 0.0
         self.balancer = balancer
 
     def attach(self, alarm):
@@ -63,11 +68,10 @@ MONITOR_KEYS = (
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("shards", [0, 2])
-    def test_zero_knob_scheduler_matches_direct_wiring(self, monkeypatch, shards):
-        asynchronous = run_demo_timeseries(seed=SEED, controller_shards=shards)
+    def test_zero_knob_scheduler_matches_direct_wiring(self, monkeypatch):
+        asynchronous = run_demo_timeseries(seed=SEED)
         monkeypatch.setattr(fig2, "ControlLoopScheduler", _DirectWiring)
-        direct = run_demo_timeseries(seed=SEED, controller_shards=shards)
+        direct = run_demo_timeseries(seed=SEED)
         assert signature(asynchronous) == signature(direct)
         # Including every counter: the scheduler's synchronous path neither
         # defers nor supersedes anything.
@@ -132,24 +136,52 @@ class TestDeferredReactions:
         assert stats["ctl_reactions_deferred"] == len(result.actions)
 
 
-class TestStaggeredShardWaves:
-    def test_stagger_requires_a_sharded_controller(self):
-        with pytest.raises(ControllerError):
-            run_demo_timeseries(seed=SEED, shard_stagger=0.1, duration=5.0)
-
+class TestStaggeredWaves:
     def test_staggered_waves_converge_to_the_same_lies(self):
-        atomic = run_demo_timeseries(seed=SEED, controller_shards=2)
-        staggered = run_demo_timeseries(seed=SEED, controller_shards=2, shard_stagger=0.1)
+        atomic = run_demo_timeseries(seed=SEED)
+        staggered = run_demo_timeseries(seed=SEED, stagger=0.1)
         assert staggered.actions
         assert staggered.lie_digests == atomic.lie_digests
         # Stagger routes reactions through the deferred path.
         assert staggered.controller_stats["ctl_reactions_deferred"] >= len(staggered.actions)
 
+    def test_one_subwave_per_prefix_in_wave_order(self):
+        """Group ``k`` of a wave (one per prefix, in wave order) is injected
+        ``k * stagger`` seconds after the first."""
+        topology = build_ring_topology(8, 3)
+        network = IgpNetwork(topology)
+        network.start()
+        network.converge()
+        controller = FibbingController(topology, network=network, attachment="R0")
+        scheduler = ControlLoopScheduler(
+            SimpleNamespace(controller=controller), network.timeline, stagger=0.25
+        )
+        sent = []
+        inject = network.inject
+
+        def recording_inject(lsas, at_router):
+            sent.append((network.timeline.now, {lsa.prefix for lsa in lsas}))
+            inject(lsas, at_router=at_router)
+
+        network.inject = recording_inject
+        wave = [churn_requirement(topology, index, 1) for index in (2, 0, 1)]
+        start = network.timeline.now
+        controller.wave_injector = scheduler._staggered_inject
+        try:
+            controller.enforce(wave)
+        finally:
+            controller.wave_injector = None
+        network.converge()
+        assert [(now - start, prefixes) for now, prefixes in sent] == [
+            (pytest.approx(0.25 * k), {requirement.prefix})
+            for k, requirement in enumerate(wave)
+        ]
+
     def test_negative_knobs_rejected(self):
         with pytest.raises(ValidationError):
             run_demo_timeseries(seed=SEED, reaction_latency=-1.0, duration=5.0)
         with pytest.raises(ValidationError):
-            run_demo_timeseries(seed=SEED, controller_shards=2, shard_stagger=-0.1, duration=5.0)
+            run_demo_timeseries(seed=SEED, stagger=-0.1, duration=5.0)
 
 
 class _StubNetwork:
@@ -241,19 +273,11 @@ class TestSchedulerValidation:
         def __init__(self, controller):
             self.controller = controller
 
-    def test_stagger_on_a_plain_controller_is_rejected_up_front(self):
-        plain = object()  # no wave_injector hook
-        with pytest.raises(ControllerError):
-            ControlLoopScheduler(self._Balancer(plain), Timeline(), shard_stagger=0.1)
-
-    def test_stagger_on_a_sharded_controller_is_accepted(self):
-        class _Sharded:
-            wave_injector = None
-
+    def test_stagger_on_a_plain_controller_is_accepted(self):
         scheduler = ControlLoopScheduler(
-            self._Balancer(_Sharded()), Timeline(), shard_stagger=0.1
+            self._Balancer(object()), Timeline(), stagger=0.1
         )
-        assert scheduler.shard_stagger == 0.1
+        assert scheduler.stagger == 0.1
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ValidationError):

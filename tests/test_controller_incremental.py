@@ -55,22 +55,12 @@ class DualControllerDriver:
         seed,
         num_routers=10,
         edge_probability=0.3,
-        plan_dirty_threshold=0.5,
-        incremental_factory=None,
     ):
-        """``incremental_factory(topology, plan_dirty_threshold)`` builds the
-        non-oracle side; the shard differential suite injects the sharded
-        facade through it (default: a plain plan-cache reconciler)."""
         self.rng = random.Random(seed)
         self.topology = random_topology(
             num_routers, edge_probability=edge_probability, seed=seed
         )
-        if incremental_factory is None:
-            self.incremental = FibbingController(
-                self.topology, incremental=True, plan_dirty_threshold=plan_dirty_threshold
-            )
-        else:
-            self.incremental = incremental_factory(self.topology, plan_dirty_threshold)
+        self.incremental = FibbingController(self.topology, incremental=True)
         self.oracle = FibbingController(self.topology, incremental=False)
         self.clients = StubClients()
         policy = LoadBalancerPolicy()
@@ -315,7 +305,7 @@ class TestDifferentialHypothesis:
 
 
 class TestThresholdAndCounters:
-    """The fallback knob and the no-op fast path, down to exact counts."""
+    """The no-op fast path and the skip bookkeeping, down to exact counts."""
 
     def build_requirement(self, driver):
         prefix = driver.topology.prefixes[0]
@@ -344,27 +334,19 @@ class TestThresholdAndCounters:
         # Every skipped plan keeps its installed lies.
         assert counters.lies_kept >= controller.active_lie_count()
 
-    def test_zero_threshold_falls_back_and_stays_identical(self):
-        driver = DualControllerDriver(seed=11, plan_dirty_threshold=0.0)
+    def test_mixed_waves_never_fall_back(self):
+        """Adds, updates, re-enforcements and weight changes: every dirty
+        wave re-plans only its dirty requirements (no dirty-fraction
+        fallback exists) and stays identical to the oracle."""
+        driver = DualControllerDriver(seed=11)
         applied = 0
         while applied < 6:
             if driver.apply(driver.rng.choice(("add", "update", "reenforce", "weight"))):
                 applied += 1
-                driver.check(context=f"threshold-0 step={applied}")
+                driver.check(context=f"step={applied}")
         counters = driver.incremental.reconciler.counters
-        # Any dirty wave against prior state trips the threshold…
-        assert counters.fallbacks > 0
-        # …and a fallback wave re-plans everything, clean entries included.
         assert counters.plans_recomputed > 0
-
-    def test_full_threshold_never_falls_back(self):
-        driver = DualControllerDriver(seed=11, plan_dirty_threshold=1.0)
-        applied = 0
-        while applied < 6:
-            if driver.apply(driver.rng.choice(("add", "update", "reenforce", "weight"))):
-                applied += 1
-                driver.check()
-        assert driver.incremental.reconciler.counters.fallbacks == 0
+        assert counters.fallbacks == 0
 
     def test_topology_change_invalidates_clean_requirements(self):
         """A weight change moves the graph version: nothing may be skipped."""

@@ -9,8 +9,7 @@ replay the same seeded requirement churn; world A crashes and resyncs every
 ``CRASH_EVERY`` waves, world B never does.  The suite compares the full
 installed lie sets (fake-node names included, via
 :func:`~repro.core.lies.lie_set_digest`) every few waves and the complete
-per-router FIBs and split ratios at the end — bit-identical, for both the
-single controller and the sharded facade.
+per-router FIBs and split ratios at the end — bit-identical.
 """
 
 import random
@@ -21,7 +20,6 @@ import pytest
 from repro.core.controller import FibbingController
 from repro.core.lies import lie_set_digest
 from repro.core.scheduler import ControlLoopScheduler
-from repro.core.shard import ShardedFibbingController
 from repro.experiments.scaling import build_ring_topology, churn_requirement
 from repro.igp.lsa import FakeNodeLsa
 from repro.igp.network import IgpNetwork
@@ -34,17 +32,12 @@ CRASH_EVERY = 50
 CHECK_EVERY = 10
 
 
-def build_world(shards=0):
+def build_world():
     topology = build_ring_topology(RING, COUNT)
     network = IgpNetwork(topology)
     network.start()
     network.converge()
-    if shards:
-        controller = ShardedFibbingController(
-            topology, shards=shards, network=network, attachment="R0"
-        )
-    else:
-        controller = FibbingController(topology, network=network, attachment="R0")
+    controller = FibbingController(topology, network=network, attachment="R0")
     return network, controller
 
 
@@ -64,10 +57,10 @@ def split_ratio_state(network):
     }
 
 
-def run_differential(shards=0, waves=WAVES, crash_every=CRASH_EVERY, seed=0):
+def run_differential(waves=WAVES, crash_every=CRASH_EVERY, seed=0):
     """Replay one seeded churn through a crashing and a pristine world."""
-    net_a, ctl_a = build_world(shards)  # crashes and resyncs
-    net_b, ctl_b = build_world(shards)  # never crashes
+    net_a, ctl_a = build_world()  # crashes and resyncs
+    net_b, ctl_b = build_world()  # never crashes
     rng = random.Random(seed)
     generations = {index: 0 for index in range(COUNT)}
     crashes = 0
@@ -89,7 +82,7 @@ def run_differential(shards=0, waves=WAVES, crash_every=CRASH_EVERY, seed=0):
         if wave % CHECK_EVERY == 0 or wave == waves - 1:
             assert lie_set_digest(ctl_a.active_lies()) == lie_set_digest(
                 ctl_b.active_lies()
-            ), f"lie sets diverged at wave {wave} (shards={shards})"
+            ), f"lie sets diverged at wave {wave}"
     assert crashes == (waves - 1) // crash_every
     assert fib_state(net_a) == fib_state(net_b)
     assert split_ratio_state(net_a) == split_ratio_state(net_b)
@@ -98,23 +91,16 @@ def run_differential(shards=0, waves=WAVES, crash_every=CRASH_EVERY, seed=0):
 
 class TestCrashRecoveryDifferential:
     def test_single_controller_crash_resync_is_bit_identical(self):
-        ctl_a, ctl_b, crashes = run_differential(shards=0)
+        ctl_a, ctl_b, crashes = run_differential()
         stats = ctl_a.stats.snapshot()
         assert stats["ctl_resyncs"] == crashes
         assert stats["ctl_resync_lies_recovered"] > 0
         # The pristine world never resynced.
         assert ctl_b.stats.snapshot()["ctl_resyncs"] == 0
 
-    def test_sharded_facade_crash_resync_is_bit_identical(self):
-        ctl_a, ctl_b, crashes = run_differential(shards=3)
-        stats = ctl_a.stats.snapshot()
-        assert stats["ctl_resyncs"] == crashes
-        assert stats["ctl_resync_lies_recovered"] > 0
-        assert ctl_b.stats.snapshot()["ctl_resyncs"] == 0
-
     @pytest.mark.parametrize("seed", [1, 2])
     def test_other_seeds_stay_identical_on_shorter_churns(self, seed):
-        run_differential(shards=0, waves=60, crash_every=20, seed=seed)
+        run_differential(waves=60, crash_every=20, seed=seed)
 
 
 class TestDetachSemantics:
@@ -124,13 +110,6 @@ class TestDetachSemantics:
         controller.detach()
         with pytest.raises(ControllerError):
             controller.enforce([churn_requirement(controller.topology, 0, 1)])
-
-    def test_sharded_enforce_while_detached_raises(self):
-        _net, facade = build_world(shards=3)
-        facade.enforce([churn_requirement(facade.topology, 0, 0)])
-        facade.detach()
-        with pytest.raises(ControllerError):
-            facade.enforce([churn_requirement(facade.topology, 0, 1)])
 
     def test_detach_forgets_the_lies_but_the_network_keeps_them(self):
         net, controller = build_world()
@@ -196,67 +175,65 @@ class TestDetachSemantics:
 
 
 class TestStaggerLinkFailure:
+    def stagger(self, net, controller):
+        """Enforce one wave through a scheduler that staggers it 0.5 s apart.
+
+        Returns the LSAs of every sub-wave still pending after the first.
+        """
+        scheduler = ControlLoopScheduler(
+            SimpleNamespace(controller=controller), net.timeline, stagger=0.5
+        )
+        pending = []
+
+        def capturing_injector(attachment, groups):
+            for messages in groups[1:]:
+                pending.extend(messages)
+            scheduler._staggered_inject(attachment, groups)
+
+        controller.wave_injector = capturing_injector
+        try:
+            controller.enforce(
+                [churn_requirement(controller.topology, index, 1) for index in range(COUNT)]
+            )
+        finally:
+            controller.wave_injector = None
+        return pending
+
     def test_link_failure_during_stagger_drops_dead_adjacency_lies(self):
         """A sub-wave pending during a link failure must not inject lies
         whose anchor adjacency died — they are filtered (counted as
         ``ctl_stagger_lsas_dropped``) and the network converges cleanly
         instead of crashing FIB resolution on an unreachable forwarding
         address."""
-        net, facade = build_world(shards=3)
-        timeline = net.timeline
-        scheduler = ControlLoopScheduler(
-            SimpleNamespace(controller=facade), timeline, shard_stagger=0.5
-        )
-        pending = []
-
-        def capturing_injector(attachment, groups):
-            groups = list(groups)
-            for _index, messages in groups[1:]:
-                pending.extend(messages)
-            scheduler._staggered_inject(attachment, groups)
-
-        facade.wave_injector = capturing_injector
-        try:
-            facade.enforce(
-                [churn_requirement(facade.topology, index, 1) for index in range(COUNT)]
-            )
-        finally:
-            facade.wave_injector = None
+        net, controller = build_world()
         victims = [
             lsa
-            for lsa in pending
+            for lsa in self.stagger(net, controller)
             if isinstance(lsa, FakeNodeLsa) and not lsa.withdrawn
         ]
         assert victims, "the staggered wave must leave fresh lies pending"
         victim = victims[0]
         net.fail_link(victim.anchor, victim.forwarding_address)
         net.converge()  # runs the pending sub-waves over the failed topology
-        stats = facade.stats.snapshot()
+        stats = controller.stats.snapshot()
         assert stats["ctl_stagger_lsas_dropped"] >= 1
         # Every router still resolves a full FIB — the dropped lie never
         # reached the LSDBs, so no forwarding address dangles.
         fib_state(net)
 
     def test_no_failure_ships_every_pending_subwave_unfiltered(self):
-        net, facade = build_world(shards=3)
-        timeline = net.timeline
-        scheduler = ControlLoopScheduler(
-            SimpleNamespace(controller=facade), timeline, shard_stagger=0.5
-        )
-        facade.wave_injector = scheduler._staggered_inject
-        try:
-            facade.enforce(
-                [churn_requirement(facade.topology, index, 1) for index in range(COUNT)]
-            )
-        finally:
-            facade.wave_injector = None
+        net, controller = build_world()
+        # One sub-wave per prefix: every requirement of the wave installs
+        # lies, so all but the first prefix's group are pending.
+        pending_prefixes = {lsa.prefix for lsa in self.stagger(net, controller)}
+        assert len(pending_prefixes) == COUNT - 1
         net.converge()
-        assert facade.stats.snapshot()["ctl_stagger_lsas_dropped"] == 0
+        assert controller.stats.snapshot()["ctl_stagger_lsas_dropped"] == 0
         # All planned lies made it into the attachment LSDB.
         lsdb = net.routers["R0"].lsdb
         live = [
             lsa
             for lsa in lsdb.live_lsas()
-            if isinstance(lsa, FakeNodeLsa) and lsa.origin == facade.name
+            if isinstance(lsa, FakeNodeLsa) and lsa.origin == controller.name
         ]
-        assert len(live) == len(facade.active_lies())
+        assert len(live) == len(controller.active_lies())

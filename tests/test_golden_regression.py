@@ -214,11 +214,10 @@ class TestFlashCrowdClassesGolden:
 class TestLieSetGolden:
     """Installed-lie snapshots: per-prefix digests of the FakeNodeLsa sets
     the controller pipeline programs (fake-node names included), for both
-    the static Fig. 1 enforcement and the dynamic Fig. 2 run.  Three
-    engines must land on each digest: the plan-cache reconciler, the
-    ``incremental=False`` clear-and-replay oracle, and the sharded facade
-    (any shard count) — the controller-layer mirror of the RIB/data-plane
-    dual-engine guard rails."""
+    the static Fig. 1 enforcement and the dynamic Fig. 2 run.  Both
+    engines must land on each digest: the plan-cache reconciler and the
+    ``incremental=False`` clear-and-replay oracle — the controller-layer
+    mirror of the RIB/data-plane dual-engine guard rails."""
 
     @pytest.fixture(scope="class")
     def golden(self):
@@ -242,34 +241,11 @@ class TestLieSetGolden:
         # The run must actually have exercised the reconciler's accounting:
         # every installed lie was injected (and counted) by it.
         assert result.controller_stats["ctl_lies_injected"] >= result.lies_active
-        if incremental:
-            # The demo manages a single prefix, so a reaction that changes
-            # its requirement dirties 100% of the wave — at most one
-            # fallback per reaction, never more.
-            assert result.controller_stats["ctl_fallbacks"] <= len(result.actions)
-        else:
+        # No engine has a dirty-fraction fallback.
+        assert result.controller_stats["ctl_fallbacks"] == 0
+        if not incremental:
             # The oracle never consults the plan cache.
             assert result.controller_stats["ctl_plan_cache_hits"] == 0
-            assert result.controller_stats["ctl_fallbacks"] == 0
-
-    @pytest.mark.parametrize("shards", [2, 3])
-    def test_fig1_sharded_digests_are_bit_identical(self, golden, shards):
-        digests = fig1_lie_digests(shards=shards)
-        assert digests == golden["fig1_sharded_pipeline"]
-        # The shard-equivalence guarantee, pinned at the golden layer too:
-        # sharding must not move a single digest byte.
-        assert golden["fig1_sharded_pipeline"] == golden["fig1_controller_pipeline"]
-
-    def test_fig2_sharded_final_lie_digests_are_bit_identical(self, golden):
-        from repro.experiments.fig2 import run_demo_timeseries
-
-        result = run_demo_timeseries(
-            with_controller=True, duration=60.0, controller_shards=3
-        )
-        assert result.lie_digests == golden["fig2_sharded_final"]
-        assert golden["fig2_sharded_final"] == golden["fig2_final"]
-        # The facade's wave accounting rode along the run.
-        assert result.controller_stats["shard_dirty"] > 0
 
 
 class TestReactionCurvesGolden:
@@ -278,7 +254,7 @@ class TestReactionCurvesGolden:
     alarm-to-cool curves, per-action control-plane latencies and the
     ``ctl_*`` convergence bookkeeping.  This is the guard rail of the
     discrete-event timing layer: a refactor that shifts when reactions
-    execute, how shard waves are staggered, or how convergence time is
+    execute, how injection sub-waves are staggered, or how convergence time is
     charged must fail here loudly."""
 
     def test_reaction_rows_are_bit_identical(self):

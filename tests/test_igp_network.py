@@ -205,12 +205,8 @@ class TestSpfCacheInvalidation:
         assert per_router["total"] == aggregate
         # The per-layer aggregates are exactly their slice of spf_stats.
         assert per_router["dataplane"] == converged_network.dataplane_stats
-        assert per_router["controller"] == {
-            **converged_network.controller_stats,
-            **converged_network.shard_stats,
-        }
+        assert per_router["controller"] == converged_network.controller_stats
         assert converged_network.controller_stats.items() <= aggregate.items()
-        assert converged_network.shard_stats.items() <= aggregate.items()
         for key, value in aggregate.items():
             # Router entries carry the spf_*/rib_* keys, the "dataplane"
             # entry the dp_* keys; .get() lets one sum span both layers.
